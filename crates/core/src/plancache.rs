@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use gradoop_cypher::ast::Query;
 use gradoop_cypher::{parse, ParseError, QueryGraph};
@@ -170,7 +170,7 @@ impl PlanCache {
 
     /// Parses `query_text`, answering repeated texts from the AST cache.
     pub fn parse(&self, query_text: &str) -> Result<Arc<Query>, ParseError> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(entry) = inner.asts.get_mut(query_text) {
@@ -181,7 +181,7 @@ impl PlanCache {
         // Parse outside the lock: parse errors are per-text and cheap to
         // recompute, so failed texts are deliberately not cached.
         let ast = Arc::new(parse(query_text)?);
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         let tick = inner.tick;
         if inner.asts.len() >= self.capacity {
             evict_lru(&mut inner.asts, |e| e.last_used);
@@ -205,7 +205,7 @@ impl PlanCache {
         mode: PlanMode,
         query: &QueryGraph,
     ) -> Option<Arc<QueryPlan>> {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         let found = inner
@@ -238,7 +238,7 @@ impl PlanCache {
     /// Stores `plan` for `(shape, mode)`, remembering the structure of the
     /// `query` graph it was planned for.
     pub fn insert(&self, shape: String, mode: PlanMode, query: &QueryGraph, plan: Arc<QueryPlan>) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.inner();
         inner.tick += 1;
         let tick = inner.tick;
         if inner.plans.len() >= self.capacity
@@ -260,13 +260,22 @@ impl PlanCache {
         );
     }
 
+    /// The cache state, recovered if a panicking thread poisoned the lock:
+    /// the cache outlives every query that uses it, so one panic must not
+    /// fail all later queries. Every critical section keeps the maps valid
+    /// at each step; a panic inside one can at worst lose an entry, which
+    /// costs a re-plan, never a wrong plan.
+    fn inner(&self) -> MutexGuard<'_, CacheInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Lifetime activity counters.
     pub fn stats(&self) -> PlanCacheStats {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.inner.lock().unwrap().plans.len() as u64,
+            entries: self.inner().plans.len() as u64,
         }
     }
 }
@@ -307,6 +316,24 @@ mod tests {
         let plan = plan_query_with_mode(&query, &Estimator::new(&statistics), PlanMode::CostBased)
             .expect("plan");
         (query, Arc::new(plan))
+    }
+
+    #[test]
+    fn cache_keeps_working_after_a_panic_poisoned_its_lock() {
+        let cache = PlanCache::new(8);
+        let (query, plan) = plan_for("MATCH (a {x: 1}) RETURN a");
+        cache.insert("shape".into(), PlanMode::CostBased, &query, plan);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = cache.inner.lock().unwrap();
+                panic!("panic while holding the plan cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
+        assert!(cache.lookup("shape", PlanMode::CostBased, &query).is_some());
+        assert!(cache.parse("MATCH (b) RETURN b").is_ok());
+        assert_eq!(cache.stats().entries, 1);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! to stream records to a JSONL file.
 
 use std::io::Write as _;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use gradoop_dataflow::{JsonValue, SpanRecord, StageReport, TraceSink};
 
@@ -187,19 +187,26 @@ impl MemoryQueryLog {
         MemoryQueryLog::default()
     }
 
+    /// The retained records, recovered if a panicking thread poisoned the
+    /// lock: the log outlives every query, and a record is pushed whole or
+    /// not at all, so one panic must not fail every later query.
+    fn records(&self) -> MutexGuard<'_, Vec<QueryLogRecord>> {
+        self.records.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Snapshot of the retained records, oldest first.
     pub fn snapshot(&self) -> Vec<QueryLogRecord> {
-        self.records.lock().unwrap().clone()
+        self.records().clone()
     }
 
     /// Removes and returns the retained records, oldest first.
     pub fn drain(&self) -> Vec<QueryLogRecord> {
-        std::mem::take(&mut *self.records.lock().unwrap())
+        std::mem::take(&mut *self.records())
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.lock().unwrap().len()
+        self.records().len()
     }
 
     /// True when no records are retained.
@@ -210,7 +217,7 @@ impl MemoryQueryLog {
 
 impl QueryLogSink for MemoryQueryLog {
     fn log(&self, record: &QueryLogRecord) {
-        let mut records = self.records.lock().unwrap();
+        let mut records = self.records();
         if records.len() >= MEMORY_LOG_CAPACITY {
             records.remove(0);
         }
@@ -239,7 +246,7 @@ impl JsonlQueryLog {
 
 impl QueryLogSink for JsonlQueryLog {
     fn log(&self, record: &QueryLogRecord) {
-        let mut file = self.file.lock().unwrap();
+        let mut file = self.file.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = writeln!(file, "{}", record.to_jsonl());
     }
 }
@@ -745,6 +752,42 @@ mod tests {
                 .map(<[_]>::len),
             Some(1)
         );
+    }
+
+    #[test]
+    fn memory_log_keeps_working_after_a_panic_poisoned_its_lock() {
+        let log = MemoryQueryLog::new();
+        let record = QueryLogRecord {
+            query: "RETURN 1".into(),
+            shape: "RETURN ?".into(),
+            fingerprint: stable_digest("RETURN ?"),
+            plan_digest: String::new(),
+            plan_cache: None,
+            outcome: QueryOutcome::Ok,
+            error: None,
+            matches: 1,
+            wall_seconds: 0.0,
+            simulated_seconds: 0.0,
+            operators: vec![],
+            max_q_error: 1.0,
+            recovery_attempts: 0,
+            stolen_morsels: 0,
+            peak_memory_bytes: 0,
+        };
+        log.log(&record);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = log.records.lock().unwrap();
+                panic!("panic while holding the query log lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(log.records.is_poisoned());
+        log.log(&record);
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.snapshot()[1].query, record.query);
+        assert_eq!(log.drain().len(), 2);
+        assert!(log.is_empty());
     }
 
     #[test]

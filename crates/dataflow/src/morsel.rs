@@ -10,9 +10,11 @@
 //! classic morsel-driven scheme of HyPer, stood in here for Flink's lazy
 //! split assignment.
 //!
-//! The *results* of a stolen execution are reassembled in
-//! (partition, morsel) order, so output bytes are identical to static
-//! scheduling regardless of the actual thread interleaving. The *cost* of
+//! The real execution ([`try_run_morsels`](crate::pool::try_run_morsels))
+//! hands all morsels of a stage to the worker pool as one flat list, and
+//! its *results* are reassembled in (partition, morsel) order, so output
+//! bytes are identical to static scheduling regardless of the actual
+//! thread interleaving. The *cost* of
 //! a stolen execution, however, must not depend on the host machine's
 //! thread timing either — the simulated clock has to be reproducible. So
 //! cost attribution runs through [`simulate_steal_schedule`]: a

@@ -1,14 +1,47 @@
-//! Thread-parallel execution of per-partition work.
+//! The process-wide worker pool every dataflow stage runs on.
 //!
-//! Each simulated worker owns one partition; a stage processes all
-//! partitions concurrently, mirroring Flink's task slots. We use scoped
-//! threads so per-stage closures can borrow from the caller.
+//! Each simulated worker owns one logical partition, and a stage processes
+//! all partitions concurrently, mirroring Flink's task slots. Like Flink's
+//! long-lived TaskManager slots, the threads that do the work outlive the
+//! stage: the first stage of the process starts one pool of
+//! `std::thread::available_parallelism()` threads, and every stage of every
+//! environment and every server session hands its tasks to that pool. The
+//! logical worker count (the partition count, which the simulated clock
+//! charges) is independent of the thread count: four logical workers simply
+//! share however many cores the host has.
+//!
+//! All entry points reduce to one primitive, `run_tasks`: run tasks `0..n`
+//! and return once every one of them has finished. Its rules:
+//!
+//! - The calling thread blocks until the last task has finished; it does
+//!   not run tasks itself.
+//! - A call made from a pool thread (a task that starts a nested stage)
+//!   runs its tasks inline on that thread, so a nested call never waits for
+//!   pool threads that may all be busy waiting for it.
+//! - Every task runs under `catch_unwind`, so a panicking operator closure
+//!   never kills a pool thread. The stage fails as a whole with the
+//!   lowest-indexed panic as its [`WorkerPanic`], whatever the thread
+//!   timing; higher-indexed tasks not yet started by then are skipped.
+//!
+//! Stage closures borrow from the caller's stack, so handing them to
+//! long-lived threads needs one lifetime erasure (the technique of rayon's
+//! and crossbeam's scopes). It is the single `unsafe` block of this crate,
+//! in `run_tasks`; its soundness rests on a drop guard that blocks until
+//! every task has finished.
 //!
 //! [`try_map_partitions`] is the fault-aware entry point: a panicking
-//! worker thread is reported as a [`WorkerPanic`] instead of tearing down
-//! the driver, so environments with fault tolerance enabled can classify a
+//! partition is reported as a [`WorkerPanic`] instead of tearing down the
+//! driver, so environments with fault tolerance enabled can classify a
 //! genuinely crashing operator closure as an execution failure rather than
 //! aborting the process.
+
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// A worker thread died mid-stage. Carries the worker index and the panic
 /// payload's message, when it was a string.
@@ -20,7 +53,7 @@ pub struct WorkerPanic {
     pub message: String,
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: Box<dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -28,6 +61,250 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
+}
+
+fn reraise(panic: WorkerPanic) -> ! {
+    panic!(
+        "partition worker {} panicked: {}",
+        panic.worker, panic.message
+    )
+}
+
+/// Locks `mutex`, recovering the guard if a panicking thread poisoned it.
+/// No lock of the pool is held while a task runs, so the state behind a
+/// poisoned lock is never half-updated.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+type Task<'a> = dyn Fn(usize) + Sync + 'a;
+
+/// One call of `run_tasks`: `n` tasks that threads claim by index.
+struct Job<'a> {
+    task: &'a Task<'a>,
+    n: usize,
+    /// The next unclaimed task index; a claim at or past `n` finds nothing.
+    next: AtomicUsize,
+    /// Tasks not yet finished (or skipped). The job is done at zero.
+    unfinished: AtomicUsize,
+    /// Lowest index of a task that panicked (`usize::MAX` while none has).
+    /// Higher tasks not yet started are skipped: the stage fails anyway.
+    lowest_panic: AtomicUsize,
+    /// The lowest-indexed panic so far, with its task index. Its mutex is
+    /// also the one `done` waits with.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+    /// Signalled when `unfinished` hits zero.
+    done: Condvar,
+}
+
+impl<'a> Job<'a> {
+    fn new(n: usize, task: &'a Task<'a>) -> Self {
+        Job {
+            task,
+            n,
+            next: AtomicUsize::new(0),
+            unfinished: AtomicUsize::new(n),
+            lowest_panic: AtomicUsize::new(usize::MAX),
+            panic: Mutex::new(None),
+            done: Condvar::new(),
+        }
+    }
+
+    fn unclaimed(&self) -> usize {
+        self.n.saturating_sub(self.next.load(Ordering::Relaxed))
+    }
+
+    /// Claims and runs tasks until none is left to claim. `task` is only
+    /// ever called for an index this thread claimed below `n`.
+    ///
+    /// `next` and `lowest_panic` publish no data, so they are `Relaxed`:
+    /// the closure reaches a pool thread through the queue's mutex, and
+    /// panic payloads travel through `panic`'s. Each task's effects are
+    /// published by its `AcqRel` decrement of `unfinished`; the waiter's
+    /// `Acquire` load that reads zero pairs with that chain of decrements.
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                return;
+            }
+            if i < self.lowest_panic.load(Ordering::Relaxed) {
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
+                    self.lowest_panic.fetch_min(i, Ordering::Relaxed);
+                    let mut first = lock(&self.panic);
+                    if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                        *first = Some((i, payload));
+                    }
+                }
+            }
+            if self.unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Taking the lock orders this wake-up after a waiter's check
+                // of `unfinished`; notifying once it is released spares the
+                // waiter from waking into a held lock.
+                drop(lock(&self.panic));
+                self.done.notify_all();
+            }
+        }
+    }
+
+    /// Blocks until every task has finished or been skipped.
+    fn wait(&self) {
+        let mut guard = lock(&self.panic);
+        while self.unfinished.load(Ordering::Acquire) != 0 {
+            guard = self
+                .done
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn result(&self) -> Result<(), (usize, Box<dyn Any + Send>)> {
+        lock(&self.panic).take().map_or(Ok(()), Err)
+    }
+}
+
+/// The process-wide pool: a FIFO of jobs served by long-lived threads.
+struct Pool {
+    jobs: Mutex<VecDeque<Arc<Job<'static>>>>,
+    work_ready: Condvar,
+}
+
+thread_local! {
+    static ON_POOL_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// The pool, started on first use with one thread per available core. Its
+/// threads live as long as the process and are never joined: a task's
+/// panic is caught in `Job::work`, so no thread exits early.
+fn pool() -> &'static Pool {
+    static POOL: OnceLock<&'static Pool> = OnceLock::new();
+    POOL.get_or_init(|| {
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool: &'static Pool = Box::leak(Box::new(Pool {
+            jobs: Mutex::new(VecDeque::new()),
+            work_ready: Condvar::new(),
+        }));
+        for i in 0..threads {
+            std::thread::Builder::new()
+                .name(format!("dataflow-pool-{i}"))
+                .spawn(move || pool.serve())
+                .expect("failed to start a dataflow pool thread");
+        }
+        pool
+    })
+}
+
+impl Pool {
+    fn submit(&self, job: Arc<Job<'static>>) {
+        lock(&self.jobs).push_back(job);
+        self.work_ready.notify_one();
+    }
+
+    /// A pool thread's life: help the oldest job with unclaimed tasks,
+    /// retiring exhausted jobs from the front of the queue.
+    ///
+    /// A job wakes one thread, and each thread that joins a job wakes the
+    /// next while tasks remain unclaimed. Waking them all from the
+    /// submitting thread, which is still running, lets the kernel queue two
+    /// of them on one core, where they share it until the load balancer
+    /// moves one a scheduler tick later (measured: the second partition of
+    /// a 2-worker join started 3–4 ms late on a 2-core host); a thread woken
+    /// from a core that is already busy with a task lands on an idle one.
+    fn serve(&self) {
+        ON_POOL_THREAD.set(true);
+        loop {
+            let job = {
+                let mut jobs = lock(&self.jobs);
+                loop {
+                    match jobs.front() {
+                        Some(job) if job.unclaimed() == 0 => {
+                            jobs.pop_front();
+                        }
+                        Some(job) => break Arc::clone(job),
+                        None => {
+                            jobs = self
+                                .work_ready
+                                .wait(jobs)
+                                .unwrap_or_else(PoisonError::into_inner)
+                        }
+                    }
+                }
+            };
+            if job.unclaimed() > 1 {
+                self.work_ready.notify_one();
+            }
+            job.work();
+        }
+    }
+}
+
+/// A job handed to the pool whose tasks may still be running. Dropping it,
+/// on the normal path or while unwinding, blocks until every task has
+/// finished, which is what keeps the erased borrow in `run_tasks` sound.
+struct Pending(Arc<Job<'static>>);
+
+impl Pending {
+    fn finish(self) -> Result<(), (usize, Box<dyn Any + Send>)> {
+        self.0.wait();
+        self.0.result()
+    }
+}
+
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.0.wait();
+    }
+}
+
+/// Runs `task(0)`, ..., `task(n - 1)` and returns once all have finished,
+/// with the lowest-indexed panic, if any task panicked.
+fn run_tasks(n: usize, task: &Task<'_>) -> Result<(), (usize, Box<dyn Any + Send>)> {
+    if n <= 1 || ON_POOL_THREAD.get() {
+        let job = Job::new(n, task);
+        job.work();
+        return job.result();
+    }
+    let pool = pool();
+    // SAFETY: the pool threads see `task` as `'static`, but they call it
+    // only for an index they claimed below `n` (`Job::work`). The guard
+    // `pending` is local to this call and never leaked, and its `Drop`
+    // blocks until all `n` tasks have finished (`Job::wait`), so this call
+    // cannot return or unwind while a call of `task` is running or can
+    // still start: every use of the borrow ends inside it. A pool thread
+    // may hold the `Arc<Job>` a moment longer, but it finds no index left
+    // to claim and never touches `task` again. Nothing between creating
+    // the guard and queueing the job can unwind, so the wait cannot block
+    // on a job the pool never received.
+    let task = unsafe { std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task) };
+    let pending = Pending(Arc::new(Job::new(n, task)));
+    pool.submit(Arc::clone(&pending.0));
+    pending.finish()
+}
+
+/// Runs `f(0)`, ..., `f(n - 1)` on the pool and collects the results in
+/// index order; a panic reports its task index as the worker.
+fn try_map_indexed<O, F>(n: usize, f: F) -> Result<Vec<O>, WorkerPanic>
+where
+    O: Send,
+    F: Fn(usize) -> O + Sync,
+{
+    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_tasks(n, &|i| {
+        let out = f(i);
+        *lock(&slots[i]) = Some(out);
+    })
+    .map_err(|(worker, payload)| WorkerPanic {
+        worker,
+        message: panic_message(payload),
+    })?;
+    Ok(slots
+        .into_iter()
+        .map(|slot| {
+            slot.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every task ran")
+        })
+        .collect())
 }
 
 /// Applies `f` to every partition concurrently and collects the results in
@@ -39,13 +316,12 @@ where
     O: Send,
     F: Fn(usize, &[I]) -> O + Sync,
 {
-    try_map_partitions(partitions, f)
-        .unwrap_or_else(|p| panic!("partition worker {} panicked: {}", p.worker, p.message))
+    try_map_partitions(partitions, f).unwrap_or_else(|p| reraise(p))
 }
 
-/// Like [`map_partitions`], but converts a panicking worker thread into an
+/// Like [`map_partitions`], but converts a panicking partition into an
 /// `Err(WorkerPanic)` instead of propagating the panic. On error the
-/// results of the surviving workers are discarded — a stage either
+/// results of the surviving partitions are discarded — a stage either
 /// completes on all partitions or not at all.
 pub fn try_map_partitions<I, O, F>(partitions: &[Vec<I>], f: F) -> Result<Vec<O>, WorkerPanic>
 where
@@ -53,58 +329,26 @@ where
     O: Send,
     F: Fn(usize, &[I]) -> O + Sync,
 {
-    if partitions.len() <= 1 {
-        return partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, p))).map_err(
-                    |payload| WorkerPanic {
-                        worker: i,
-                        message: panic_message(payload),
-                    },
-                )
-            })
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = partitions
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                scope.spawn({
-                    let f = &f;
-                    move || f(i, p)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .enumerate()
-            .map(|(i, h)| {
-                h.join().map_err(|payload| WorkerPanic {
-                    worker: i,
-                    message: panic_message(payload),
-                })
-            })
-            .collect()
-    })
+    try_map_indexed(partitions.len(), |i| f(i, &partitions[i]))
 }
 
-/// Executes morselized per-partition work with real work stealing.
+/// Executes morselized per-partition work on the pool.
 ///
 /// `lengths[p]` is the record count of partition `p`; each partition is
 /// split into [`morsel_ranges`](crate::morsel::morsel_ranges) and `f` is
-/// called once per `(partition, range)` morsel. Worker `p` owns partition
-/// `p`'s morsels in a deque and pops them from the back (LIFO, for
-/// locality); a worker whose own deque runs dry scans the other deques and
-/// steals from the front (FIFO). Outputs land in per-morsel slots and are
-/// reassembled in (partition, morsel) order, so the result is byte-for-byte
-/// identical to static scheduling no matter which thread ran what.
+/// called once per `(partition, range)` morsel. The morsels of all
+/// partitions form one flat list that pool threads claim in order, so an
+/// idle thread always picks up the next morsel of whichever partition is
+/// left. Outputs are reassembled in (partition, morsel) order, so the
+/// result is byte-for-byte identical to static scheduling no matter which
+/// thread ran what. Which simulated worker is charged for which morsel is
+/// decided separately, by
+/// [`simulate_steal_schedule`](crate::morsel::simulate_steal_schedule).
 ///
 /// Returns `outputs[partition][morsel]`; a panicking morsel reports the
-/// partition it belongs to as [`WorkerPanic::worker`] (first failure wins)
-/// and the remaining workers drain quickly and exit.
+/// partition it belongs to as [`WorkerPanic::worker`] (the first panicking
+/// morsel in (partition, morsel) order wins) and the later morsels not yet
+/// started are skipped.
 pub fn try_run_morsels<O, F>(
     lengths: &[usize],
     morsel_size: usize,
@@ -112,135 +356,33 @@ pub fn try_run_morsels<O, F>(
 ) -> Result<Vec<Vec<Vec<O>>>, WorkerPanic>
 where
     O: Send,
-    F: Fn(usize, std::ops::Range<usize>) -> Vec<O> + Sync,
+    F: Fn(usize, Range<usize>) -> Vec<O> + Sync,
 {
-    use crate::morsel::morsel_ranges;
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    let workers = lengths.len();
-    // (partition, morsel index within partition, record range)
-    let tasks: Vec<(usize, usize, std::ops::Range<usize>)> = lengths
+    let morsels: Vec<(usize, Range<usize>)> = lengths
         .iter()
         .enumerate()
         .flat_map(|(p, &len)| {
-            morsel_ranges(len, morsel_size)
+            crate::morsel::morsel_ranges(len, morsel_size)
                 .into_iter()
-                .enumerate()
-                .map(move |(m, range)| (p, m, range))
+                .map(move |range| (p, range))
         })
         .collect();
-    let mut outputs: Vec<Vec<Option<Vec<O>>>> = lengths
-        .iter()
-        .map(|&len| {
-            (0..morsel_ranges(len, morsel_size).len())
-                .map(|_| None)
-                .collect()
-        })
-        .collect();
-
-    if workers <= 1 {
-        for (p, m, range) in tasks {
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(p, range)))
-                .map_err(|payload| WorkerPanic {
-                    worker: p,
-                    message: panic_message(payload),
-                })?;
-            outputs[p][m] = Some(out);
-        }
-        return Ok(seal_morsel_outputs(outputs));
+    crate::telemetry::pool_telemetry()
+        .tasks
+        .add(morsels.len() as u64);
+    let flat = try_map_indexed(morsels.len(), |t| {
+        let (p, range) = &morsels[t];
+        f(*p, range.clone())
+    })
+    .map_err(|panic| WorkerPanic {
+        worker: morsels[panic.worker].0,
+        ..panic
+    })?;
+    let mut outputs: Vec<Vec<Vec<O>>> = lengths.iter().map(|_| Vec::new()).collect();
+    for ((p, _), out) in morsels.iter().zip(flat) {
+        outputs[*p].push(out);
     }
-
-    let deques: Vec<Mutex<VecDeque<usize>>> = {
-        let mut per_worker: Vec<VecDeque<usize>> = (0..workers).map(|_| VecDeque::new()).collect();
-        for (task_id, (p, _, _)) in tasks.iter().enumerate() {
-            per_worker[*p].push_back(task_id);
-        }
-        per_worker.into_iter().map(Mutex::new).collect()
-    };
-    let slots: Vec<Mutex<Option<Vec<O>>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
-    let error: Mutex<Option<WorkerPanic>> = Mutex::new(None);
-    // Real (thread-level) steals observed this stage: a morsel executed by
-    // a thread other than its partition's owner. Unlike the deterministic
-    // simulated schedule, this reflects actual scheduling and feeds the
-    // process-wide metrics registry.
-    let stolen = std::sync::atomic::AtomicU64::new(0);
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let tasks = &tasks;
-            let error = &error;
-            let stolen = &stolen;
-            let f = &f;
-            scope.spawn(move || loop {
-                if error.lock().unwrap().is_some() {
-                    return;
-                }
-                // Own work first (LIFO: newest morsel, hottest cache). The
-                // guard must drop before stealing: chaining `.or_else` onto
-                // `.lock().unwrap().pop_back()` keeps the temporary guard
-                // alive for the whole statement, so two workers stealing
-                // from each other would each hold their own deque while
-                // waiting for the other's — an ABBA deadlock (found by the
-                // conformance fuzzer, which hung here intermittently).
-                let own = deques[w].lock().unwrap().pop_back();
-                let task_id = own.or_else(|| {
-                    // Steal oldest morsel from the first non-empty victim,
-                    // scanning upward from our own index.
-                    (1..workers)
-                        .map(|offset| (w + offset) % workers)
-                        .find_map(|victim| deques[victim].lock().unwrap().pop_front())
-                });
-                let Some(task_id) = task_id else { return };
-                let (p, _, range) = &tasks[task_id];
-                if *p != w {
-                    stolen.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    f(*p, range.clone())
-                })) {
-                    Ok(out) => *slots[task_id].lock().unwrap() = Some(out),
-                    Err(payload) => {
-                        let mut guard = error.lock().unwrap();
-                        if guard.is_none() {
-                            *guard = Some(WorkerPanic {
-                                worker: *p,
-                                message: panic_message(payload),
-                            });
-                        }
-                        return;
-                    }
-                }
-            });
-        }
-    });
-
-    let pool = crate::telemetry::pool_telemetry();
-    pool.tasks.add(tasks.len() as u64);
-    pool.steals
-        .add(stolen.load(std::sync::atomic::Ordering::Relaxed));
-
-    if let Some(panic) = error.lock().unwrap().take() {
-        return Err(panic);
-    }
-    for (task_id, (p, m, _)) in tasks.iter().enumerate() {
-        outputs[*p][*m] = slots[task_id].lock().unwrap().take();
-    }
-    Ok(seal_morsel_outputs(outputs))
-}
-
-fn seal_morsel_outputs<O>(outputs: Vec<Vec<Option<Vec<O>>>>) -> Vec<Vec<Vec<O>>> {
-    outputs
-        .into_iter()
-        .map(|partition| {
-            partition
-                .into_iter()
-                .map(|slot| slot.expect("every morsel slot filled"))
-                .collect()
-        })
-        .collect()
+    Ok(outputs)
 }
 
 /// Variant of [`map_partitions`] for two co-partitioned inputs (e.g. the
@@ -253,36 +395,33 @@ where
     F: Fn(usize, &[A], &[B]) -> O + Sync,
 {
     assert_eq!(left.len(), right.len(), "inputs must be co-partitioned");
-    if left.len() <= 1 {
-        return left
-            .iter()
-            .zip(right)
-            .enumerate()
-            .map(|(i, (l, r))| f(i, l, r))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = left
-            .iter()
-            .zip(right)
-            .enumerate()
-            .map(|(i, (l, r))| {
-                scope.spawn({
-                    let f = &f;
-                    move || f(i, l, r)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("partition worker panicked"))
-            .collect()
-    })
+    try_map_indexed(left.len(), |i| f(i, &left[i], &right[i])).unwrap_or_else(|p| reraise(p))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::thread::ThreadId;
+
+    fn pool_size() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    /// Runs `stages` four-partition stages and returns the threads that ran
+    /// their tasks.
+    fn task_threads(stages: usize) -> HashSet<ThreadId> {
+        let parts = vec![vec![1u32], vec![2], vec![3], vec![4]];
+        let seen = Mutex::new(HashSet::new());
+        for _ in 0..stages {
+            let out = map_partitions(&parts, |i, p| {
+                lock(&seen).insert(std::thread::current().id());
+                i as u32 + p[0]
+            });
+            assert_eq!(out, vec![1, 3, 5, 7]);
+        }
+        seen.into_inner().unwrap()
+    }
 
     #[test]
     fn try_map_reports_worker_panics() {
@@ -296,6 +435,22 @@ mod tests {
         let panic = result.expect_err("worker 1 must be reported");
         assert_eq!(panic.worker, 1);
         assert!(panic.message.contains("worker died"));
+    }
+
+    #[test]
+    fn try_map_reports_the_lowest_panicking_partition() {
+        let parts: Vec<Vec<u32>> = (0..8).map(|i| vec![i]).collect();
+        for _ in 0..50 {
+            let result = try_map_partitions(&parts, |i, _| {
+                if i == 3 || i == 6 {
+                    panic!("worker {i} died");
+                }
+                i
+            });
+            let panic = result.expect_err("stage must fail");
+            assert_eq!(panic.worker, 3);
+            assert!(panic.message.contains("worker 3 died"));
+        }
     }
 
     #[test]
@@ -327,7 +482,11 @@ mod tests {
     #[test]
     fn single_partition_runs_inline() {
         let parts = vec![vec![10u32]];
-        let out = map_partitions(&parts, |_, p| p.len());
+        let caller = std::thread::current().id();
+        let out = map_partitions(&parts, |_, p| {
+            assert_eq!(std::thread::current().id(), caller);
+            p.len()
+        });
         assert_eq!(out, vec![1]);
     }
 
@@ -337,6 +496,77 @@ mod tests {
         let right = vec![vec![10], vec![20]];
         let out = map_partition_pairs(&left, &right, |i, l, r| i + l.len() + r.len());
         assert_eq!(out, vec![2, 4]);
+    }
+
+    #[test]
+    fn stages_share_a_bounded_set_of_pool_threads() {
+        let threads = task_threads(1000);
+        assert!(
+            threads.len() <= pool_size(),
+            "1000 stages ran on {} threads, the pool has {}",
+            threads.len(),
+            pool_size()
+        );
+        assert!(!threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn nested_stage_inside_a_task_completes() {
+        let outer = vec![vec![1u64, 2], vec![3], vec![4, 5, 6], vec![]];
+        let inner = vec![vec![10u64], vec![20], vec![30]];
+        let out = map_partitions(&outer, |_, part| {
+            let nested = map_partitions(&inner, |j, q| q[0] * (j as u64 + 1));
+            part.iter().sum::<u64>() + nested.iter().sum::<u64>()
+        });
+        assert_eq!(out, vec![143, 143, 155, 140]);
+    }
+
+    #[test]
+    fn concurrent_drivers_get_partition_ordered_results() {
+        std::thread::scope(|scope| {
+            for driver in 0..4usize {
+                scope.spawn(move || {
+                    for stage in 0..200usize {
+                        let parts: Vec<Vec<usize>> =
+                            (0..4).map(|p| vec![driver, stage, p]).collect();
+                        let out = map_partitions(&parts, |i, p| (i, p.iter().sum::<usize>()));
+                        let expected: Vec<(usize, usize)> =
+                            (0..4).map(|p| (p, driver + stage + p)).collect();
+                        assert_eq!(out, expected, "driver {driver}, stage {stage}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn panicking_stages_do_not_kill_pool_threads() {
+        let before = task_threads(200);
+        let parts = vec![vec![0u32], vec![1], vec![2], vec![3]];
+        let failed = try_map_partitions(&parts, |i, _| {
+            if i == 2 {
+                panic!("try stage died");
+            }
+            i
+        });
+        assert_eq!(failed.expect_err("stage must fail").worker, 2);
+        let raised = std::panic::catch_unwind(|| {
+            map_partitions(&parts, |i, _| {
+                if i == 1 {
+                    panic!("stage died");
+                }
+                i
+            })
+        });
+        assert!(raised.is_err());
+        let after = task_threads(200);
+        let all: HashSet<ThreadId> = before.union(&after).copied().collect();
+        assert!(
+            all.len() <= pool_size(),
+            "panics made the pool run tasks on {} threads, it has {}",
+            all.len(),
+            pool_size()
+        );
     }
 
     #[test]
@@ -376,15 +606,15 @@ mod tests {
         assert!(panic.message.contains("morsel died"));
     }
 
-    /// Regression: workers that run dry and steal from each other must not
-    /// deadlock. Before the fix, the own-deque guard was still held while
-    /// scanning victims, so two mutually-stealing workers could block
-    /// forever; many tiny contended rounds make the interleaving likely.
+    /// Stress test of the morsel claim: many tiny, skewed rounds make
+    /// threads race for the same claim index and finish jobs in every
+    /// order. (Its predecessor, with per-worker deques, hung here when two
+    /// workers held their own deque while stealing from each other.)
     #[test]
     fn concurrent_stealing_does_not_deadlock() {
         for round in 0..200 {
-            // Skewed lengths force the light partitions to steal from the
-            // heavy one (and occasionally from each other) every round.
+            // Skewed lengths leave one partition's morsels for whichever
+            // thread is idle, every round.
             let lengths = vec![32usize, 1 + round % 3, 1, 2];
             let out = try_run_morsels(&lengths, 2, |p, range| {
                 range.map(|i| (p, i)).collect::<Vec<_>>()

@@ -350,12 +350,11 @@ pub(crate) fn stage_telemetry() -> &'static StageTelemetry {
     })
 }
 
-/// Pre-interned handles for the morsel pool's real (thread-level) steal
-/// counters — distinct from the deterministic simulated schedule reported
-/// in [`StageReport`](crate::StageReport).
+/// Pre-interned handle for the morsels the worker pool really executed —
+/// distinct from the deterministic simulated schedule reported in
+/// [`StageReport`](crate::StageReport).
 pub(crate) struct PoolTelemetry {
     pub tasks: Arc<Counter>,
-    pub steals: Arc<Counter>,
 }
 
 pub(crate) fn pool_telemetry() -> &'static PoolTelemetry {
@@ -364,7 +363,6 @@ pub(crate) fn pool_telemetry() -> &'static PoolTelemetry {
         let registry = MetricsRegistry::global();
         PoolTelemetry {
             tasks: registry.counter("pool.tasks"),
-            steals: registry.counter("pool.steals"),
         }
     })
 }
